@@ -461,10 +461,11 @@ pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
 
         // NW-S007 — socket I/O on the fleet data path outside the
         // designated transport module. The fleet's no-hang guarantees
-        // (nonblocking pumps, per-frame deadlines, EOF-as-state) are
-        // enforced by the transport module's FrameConn; a socket touched
-        // anywhere else in the crate bypasses that discipline and can
-        // wedge a worker or the coordinator on a dead peer.
+        // (deadline-bounded blocking calls, EOF-as-state) are enforced by
+        // the transport module's FrameConn; a socket touched anywhere
+        // else in the crate, or a socket timeout set anywhere else,
+        // bypasses that deadline discipline and can wedge a worker or the
+        // coordinator on a dead peer.
         if fleet_scope && !transport {
             if t.kind == TokKind::Ident
                 && matches!(t.text.as_str(), "TcpStream" | "TcpListener" | "UdpSocket")
@@ -476,7 +477,7 @@ pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
                     format!(
                         "{} on the fleet data path: sockets are confined to \
                          the designated transport module, which owns the \
-                         nonblocking/deadline discipline",
+                         deadline discipline",
                         t.text
                     ),
                 );
@@ -487,7 +488,13 @@ pub fn check_file(path: &str, src: &str, cfg: &LintConfig) -> Vec<Finding> {
                     Some(m) if m.kind == TokKind::Ident
                         && matches!(
                             m.text.as_str(),
-                            "accept" | "set_nonblocking" | "peek" | "read_exact" | "write_all"
+                            "accept"
+                                | "set_nonblocking"
+                                | "set_read_timeout"
+                                | "set_write_timeout"
+                                | "peek"
+                                | "read_exact"
+                                | "write_all"
                                 | "read_to_end"
                         )
                 )

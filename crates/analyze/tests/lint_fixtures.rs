@@ -52,6 +52,7 @@ fn every_rule_fires_at_the_expected_span() {
         ("NW-S007", "s007_fleet_socket.rs", 4),
         ("NW-S007", "s007_fleet_socket.rs", 5),
         ("NW-S007", "s007_fleet_socket.rs", 6),
+        ("NW-S007", "s007_fleet_socket.rs", 7),
     ];
     for (rule, file, line) in expected {
         assert!(

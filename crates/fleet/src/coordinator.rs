@@ -72,7 +72,7 @@ pub struct SocketHost {
     /// Global level-1 nest index → owning slot.
     owner: Vec<usize>,
     pending: BTreeMap<(u64, usize), Cells>,
-    /// `Done` frames that arrive while still waiting on feedbacks.
+    /// Each slot's `Done`, once received.
     done: Vec<Option<Done>>,
     frame_timeout: Duration,
     recv_wait: LogHistogram,
@@ -132,37 +132,12 @@ impl SocketHost {
         }
     }
 
-    /// Pumps every connection once, dispatching complete frames. Returns
-    /// whether anything progressed.
-    fn pump_all(&mut self) -> Result<bool, TransportError> {
-        let mut progressed = false;
-        for slot in 0..self.conns.len() {
-            let pumped = self.conns[slot].pump().inspect_err(|_| {
-                self.last_error_slot = Some(slot);
-            })?;
-            progressed |= pumped;
-            loop {
-                let frame = self.conns[slot].next_frame().inspect_err(|_| {
-                    self.last_error_slot = Some(slot);
-                })?;
-                match frame {
-                    Some((tag, payload)) => {
-                        self.take_frame(slot, tag, payload).inspect_err(|_| {
-                            self.last_error_slot = Some(slot);
-                        })?;
-                        progressed = true;
-                    }
-                    None => break,
-                }
-            }
-        }
-        Ok(progressed)
-    }
-
-    /// Pumps all connections until `check` finds what the caller waits for.
+    /// Reads `slot`'s connection until `check` finds what the caller waits
+    /// for. A slot's feedbacks and its `Done` arrive in order on its own
+    /// stream, so no other connection needs reading meanwhile.
     fn wait_until<T>(
         &mut self,
-        blamed_slot: usize,
+        slot: usize,
         what: &str,
         mut check: impl FnMut(&mut SocketHost) -> Option<T>,
     ) -> Result<T, TransportError> {
@@ -175,35 +150,24 @@ impl SocketHost {
                 self.wait_s += waited.as_secs_f64();
                 return Ok(found);
             }
-            let progressed = self.pump_all()?;
-            if let Some(found) = check(self) {
-                let waited = clock::since(start);
-                self.recv_wait.record_duration(waited);
-                self.wait_s += waited.as_secs_f64();
-                return Ok(found);
-            }
-            // Every decodable frame is dispatched after a pump, so an
-            // EOF'd source connection can never produce what we wait for.
-            if self.conns[blamed_slot].is_eof() {
-                self.last_error_slot = Some(blamed_slot);
-                return Err(TransportError::Closed(format!(
-                    "worker {blamed_slot} disconnected before sending its {what}"
-                )));
-            }
-            if clock::expired(deadline) {
-                self.last_error_slot = Some(blamed_slot);
-                return Err(TransportError::Timeout(format!(
-                    "no {what} from worker {blamed_slot} within {:?}",
+            let received = match self.conns[slot].wait_frame(deadline) {
+                Ok((tag, payload)) => self.take_frame(slot, tag, payload),
+                Err(TransportError::Timeout(_)) => Err(TransportError::Timeout(format!(
+                    "no {what} from worker {slot} within {:?}",
                     self.frame_timeout
-                )));
-            }
-            if !progressed {
-                std::thread::sleep(Duration::from_micros(200));
-            }
+                ))),
+                Err(TransportError::Closed(_)) if self.conns[slot].is_eof() => {
+                    Err(TransportError::Closed(format!(
+                        "worker {slot} disconnected before sending its {what}"
+                    )))
+                }
+                Err(e) => Err(e),
+            };
+            received.inspect_err(|_| self.last_error_slot = Some(slot))?;
         }
     }
 
-    /// Waits for `slot`'s `Done`, pumping all connections meanwhile.
+    /// Waits for `slot`'s `Done`.
     pub fn wait_done(&mut self, slot: usize) -> Result<Done, TransportError> {
         self.wait_until(slot, "completion report", |host| host.done[slot].take())
     }
@@ -235,10 +199,9 @@ impl nestwx_miniwrf::HaloHost for SocketHost {
         let slot = self.owner[nest];
         let payload = encode_cells(nest as u32, iteration, bc.cells());
         self.conns[slot].queue(Tag::Boundary, &payload);
-        self.conns[slot].flush().inspect_err(|_| {
-            self.last_error_slot = Some(slot);
-        })?;
-        Ok(())
+        self.conns[slot]
+            .flush_fully(clock::deadline_after(self.frame_timeout))
+            .inspect_err(|_| self.last_error_slot = Some(slot))
     }
 
     fn recv_feedback(
@@ -311,10 +274,9 @@ pub fn run_coordinator(
         }
     }
 
-    let mut model = build_model(parent, nests);
     let weights = nest_weights(nests, partitions);
     let groups = partition_nests(&weights, conns.len());
-    let mut owner = vec![0usize; model.nests.len()];
+    let mut owner = vec![0usize; weights.len()];
     for (slot, group) in groups.iter().enumerate() {
         for &nest in group {
             owner[nest] = slot;
@@ -333,6 +295,9 @@ pub fn run_coordinator(
         conn.flush_fully(clock::deadline_after(config.connect_timeout))
             .map_err(|e| FleetError::Handshake(format!("worker {slot}: {e}")))?;
     }
+    // Built only once every Assign is out, so this build overlaps the
+    // workers' own (`build_model` is pure: the order changes no bytes).
+    let mut model = build_model(parent, nests);
 
     let mut host = SocketHost::new(conns, owner, config.frame_timeout);
     if let Err(e) = drive_parent(&mut model, iterations, config.threads, &mut host) {

@@ -1,19 +1,23 @@
-//! The fleet's socket layer: nonblocking length-prefixed frame I/O.
+//! The fleet's socket layer: blocking, deadline-bounded length-prefixed
+//! frame I/O.
 //!
 //! This is the **designated transport module** of the fleet data path —
 //! the only fleet file allowed to touch sockets (lint rule NW-S007
-//! enforces this). The connection state machine follows the serve
-//! `conn.rs` idioms: a nonblocking stream drained into a growable input
-//! buffer, an outbox with a partial-write offset (`sent`) compacted once
-//! the consumed prefix grows large, and `WouldBlock`/`Interrupted`
-//! handled as "no progress" rather than errors. Framing is binary
-//! (length-prefixed, see [`crate::frame`]) instead of serve's
-//! newline-JSON, so the machinery is reimplemented here rather than
-//! imported — `nestwx-serve` depends on this crate, not the reverse.
+//! enforces this). A [`FrameConn`] owns a blocking stream, an input buffer
+//! with a consumed-prefix offset (compacted once the prefix grows large)
+//! and an outbox of queued frames. Framing is binary (length-prefixed, see
+//! [`crate::frame`]) instead of serve's newline-JSON, so the machinery is
+//! implemented here rather than imported — `nestwx-serve` depends on this
+//! crate, not the reverse.
 //!
-//! Waiting is a poll loop ([`FrameConn::wait_frame`]): pump every readable
-//! byte, sleep briefly when nothing progressed, give up at the deadline.
-//! All deadline checks go through the `nestwx_obs::clock` shim.
+//! Every call that can wait takes a deadline and blocks in the kernel with
+//! `set_read_timeout`/`set_write_timeout` set to the time remaining, so a
+//! waiter wakes as soon as bytes arrive and never sleeps past data. A
+//! socket timeout (`WouldBlock`/`TimedOut`) and an already-expired
+//! deadline both surface as [`TransportError::Timeout`]; the expiry check
+//! comes first because the OS rejects a zero timeout. EOF is recorded as
+//! state, not raised, so a peer's final frame still decodes. All deadline
+//! checks go through the `nestwx_obs::clock` shim.
 
 use crate::frame::{decode_frame, encode_frame, max_frame_bytes, Tag};
 use nestwx_miniwrf::TransportError;
@@ -22,22 +26,17 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-/// Compact the outbox once this many sent bytes accumulate at its front.
+/// Compact the input buffer once this many consumed bytes accumulate at
+/// its front.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
-/// Sleep between poll rounds when a pump made no progress. Short enough
-/// that halo latency stays dominated by the solver, long enough not to
-/// spin a core while the peer computes.
-const POLL_SLEEP: Duration = Duration::from_micros(200);
-
-/// One nonblocking framed connection with transfer counters.
+/// One blocking framed connection with transfer counters.
 #[derive(Debug)]
 pub struct FrameConn {
     stream: TcpStream,
     inbuf: Vec<u8>,
     consumed: usize,
     outbuf: Vec<u8>,
-    sent: usize,
     max_frame: usize,
     eof: bool,
     /// Peer address, for error messages.
@@ -53,15 +52,17 @@ pub struct FrameConn {
 }
 
 impl FrameConn {
-    /// Wraps a connected stream: switches it to nonblocking and disables
-    /// Nagle (halo frames are latency-critical and already batched).
+    /// Wraps a connected stream in blocking mode (an accepted stream may
+    /// inherit the listener's nonblocking flag on some platforms) and
+    /// disables Nagle (halo frames are latency-critical and already
+    /// batched).
     pub fn new(stream: TcpStream) -> Result<FrameConn, TransportError> {
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| "<unknown>".to_string());
         stream
-            .set_nonblocking(true)
+            .set_nonblocking(false)
             .map_err(|e| TransportError::Closed(format!("set_nonblocking: {e}")))?;
         let _ = stream.set_nodelay(true);
         Ok(FrameConn {
@@ -69,7 +70,6 @@ impl FrameConn {
             inbuf: Vec::new(),
             consumed: 0,
             outbuf: Vec::new(),
-            sent: 0,
             max_frame: max_frame_bytes(),
             eof: false,
             peer,
@@ -80,40 +80,10 @@ impl FrameConn {
         })
     }
 
-    /// Queues one frame for sending (no I/O; call [`FrameConn::flush`]).
+    /// Queues one frame for sending (no I/O; call [`FrameConn::flush_fully`]).
     pub fn queue(&mut self, tag: Tag, payload: &[u8]) {
         encode_frame(tag, payload, &mut self.outbuf);
         self.frames_out += 1;
-    }
-
-    /// Writes as much queued output as the socket accepts right now.
-    /// Returns `true` once the outbox is fully flushed.
-    pub fn flush(&mut self) -> Result<bool, TransportError> {
-        while self.sent < self.outbuf.len() {
-            match self.stream.write(&self.outbuf[self.sent..]) {
-                Ok(0) => {
-                    return Err(TransportError::Closed(format!(
-                        "{}: write returned 0",
-                        self.peer
-                    )))
-                }
-                Ok(n) => {
-                    self.sent += n;
-                    self.bytes_out += n as u64;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Closed(format!("{}: write: {e}", self.peer))),
-            }
-        }
-        if self.sent == self.outbuf.len() {
-            self.outbuf.clear();
-            self.sent = 0;
-        } else if self.sent >= COMPACT_THRESHOLD {
-            self.outbuf.drain(..self.sent);
-            self.sent = 0;
-        }
-        Ok(self.sent == self.outbuf.len() || self.outbuf.is_empty())
     }
 
     /// Whether the peer has closed its sending side. Frames already
@@ -123,37 +93,87 @@ impl FrameConn {
         self.eof
     }
 
-    /// Reads every currently-available byte into the input buffer.
-    /// Returns `true` when new bytes arrived. EOF is recorded, not raised:
-    /// a peer may legitimately close right after its final frame, and that
-    /// frame must still decode.
-    pub fn fill(&mut self) -> Result<bool, TransportError> {
-        if self.eof {
-            return Ok(false);
+    /// Time left before `deadline`, or a typed timeout once it has passed.
+    fn time_left(&self, deadline: Instant, what: &str) -> Result<Duration, TransportError> {
+        match clock::remaining(deadline) {
+            Duration::ZERO => Err(TransportError::Timeout(format!(
+                "{}: {what} before deadline",
+                self.peer
+            ))),
+            left => Ok(left),
         }
-        let mut progressed = false;
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read(&mut chunk) {
+    }
+
+    /// Maps a socket error: an expired socket timeout is a `Timeout`,
+    /// anything else means the connection is gone.
+    fn io_error(&self, op: &str, e: std::io::Error) -> TransportError {
+        match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                TransportError::Timeout(format!("{}: {op} timed out", self.peer))
+            }
+            _ => TransportError::Closed(format!("{}: {op}: {e}", self.peer)),
+        }
+    }
+
+    /// Writes the whole outbox, blocking until `deadline` at most. On
+    /// failure the bytes already written leave the outbox, so the stream
+    /// never repeats them.
+    pub fn flush_fully(&mut self, deadline: Instant) -> Result<(), TransportError> {
+        let mut sent = 0;
+        let result = loop {
+            if sent == self.outbuf.len() {
+                break Ok(());
+            }
+            let left = match self.time_left(deadline, "outbox not drained") {
+                Ok(left) => left,
+                Err(e) => break Err(e),
+            };
+            if let Err(e) = self.stream.set_write_timeout(Some(left)) {
+                break Err(self.io_error("set_write_timeout", e));
+            }
+            match self.stream.write(&self.outbuf[sent..]) {
                 Ok(0) => {
-                    self.eof = true;
-                    break;
+                    break Err(TransportError::Closed(format!(
+                        "{}: write returned 0",
+                        self.peer
+                    )))
                 }
                 Ok(n) => {
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    self.bytes_in += n as u64;
-                    progressed = true;
+                    sent += n;
+                    self.bytes_out += n as u64;
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(TransportError::Closed(format!("{}: read: {e}", self.peer))),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Err(self.io_error("write", e)),
             }
+        };
+        self.outbuf.drain(..sent);
+        result
+    }
+
+    /// Blocks until some bytes arrive, EOF, or `deadline`. EOF is
+    /// recorded, not raised: a peer may legitimately close right after its
+    /// final frame, and that frame must still decode.
+    fn fill(&mut self, deadline: Instant) -> Result<(), TransportError> {
+        let left = self.time_left(deadline, "no frame")?;
+        self.stream
+            .set_read_timeout(Some(left))
+            .map_err(|e| self.io_error("set_read_timeout", e))?;
+        let mut chunk = [0u8; 16 * 1024];
+        match self.stream.read(&mut chunk) {
+            Ok(0) => self.eof = true,
+            Ok(n) => {
+                self.inbuf.extend_from_slice(&chunk[..n]);
+                self.bytes_in += n as u64;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(self.io_error("read", e)),
         }
-        Ok(progressed)
+        Ok(())
     }
 
     /// Decodes the next buffered frame, if a complete one is available.
-    pub fn next_frame(&mut self) -> Result<Option<(Tag, Vec<u8>)>, TransportError> {
+    /// An oversized length prefix fails here, before its body is read.
+    fn next_frame(&mut self) -> Result<Option<(Tag, Vec<u8>)>, TransportError> {
         match decode_frame(&self.inbuf[self.consumed..], self.max_frame) {
             Ok(None) => {
                 // Compact the consumed prefix while idle so a long run's
@@ -174,23 +194,11 @@ impl FrameConn {
         }
     }
 
-    /// One nonblocking duty cycle: flush pending output, read pending
-    /// input. Returns `true` when either direction progressed.
-    pub fn pump(&mut self) -> Result<bool, TransportError> {
-        let had_out = !self.outbuf.is_empty();
-        self.flush()?;
-        let wrote = had_out && self.outbuf.is_empty();
-        let read = self.fill()?;
-        Ok(wrote || read)
-    }
-
-    /// Pumps until a complete frame arrives or `deadline` passes.
+    /// Flushes the outbox, then returns the next complete frame, reading
+    /// until one arrives or `deadline` passes.
     pub fn wait_frame(&mut self, deadline: Instant) -> Result<(Tag, Vec<u8>), TransportError> {
+        self.flush_fully(deadline)?;
         loop {
-            if let Some(frame) = self.next_frame()? {
-                return Ok(frame);
-            }
-            let progressed = self.pump()?;
             if let Some(frame) = self.next_frame()? {
                 return Ok(frame);
             }
@@ -200,32 +208,7 @@ impl FrameConn {
                     self.peer
                 )));
             }
-            if clock::expired(deadline) {
-                return Err(TransportError::Timeout(format!(
-                    "{}: no frame before deadline",
-                    self.peer
-                )));
-            }
-            if !progressed {
-                std::thread::sleep(POLL_SLEEP);
-            }
-        }
-    }
-
-    /// Pumps until the outbox is empty or `deadline` passes — used to push
-    /// out `Done`/`Abort` before closing.
-    pub fn flush_fully(&mut self, deadline: Instant) -> Result<(), TransportError> {
-        loop {
-            if self.flush()? {
-                return Ok(());
-            }
-            if clock::expired(deadline) {
-                return Err(TransportError::Timeout(format!(
-                    "{}: outbox not drained before deadline",
-                    self.peer
-                )));
-            }
-            std::thread::sleep(POLL_SLEEP);
+            self.fill(deadline)?;
         }
     }
 }
@@ -261,7 +244,9 @@ pub fn accept_n(
                         conns.len()
                     )));
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                // Only while workers start up; kept short because every
+                // retry adds directly to a run's fixed cost.
+                std::thread::sleep(Duration::from_micros(100));
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(TransportError::Closed(format!("accept: {e}"))),

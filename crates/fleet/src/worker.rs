@@ -107,11 +107,10 @@ impl nestwx_miniwrf::HaloLink for SocketLink<'_> {
     ) -> Result<(), TransportError> {
         let payload = encode_cells(nest as u32, iteration, fb.cells());
         self.conn.queue(Tag::Feedback, &payload);
-        // Opportunistic flush: drive_nests immediately blocks on the next
-        // boundary anyway, and wait_frame keeps flushing, but pushing bytes
-        // now overlaps the send with the coordinator's feedback wait.
-        self.conn.flush()?;
-        Ok(())
+        // Send now rather than on the next wait_frame: the next boundary
+        // may already be buffered, and the coordinator is waiting on this.
+        self.conn
+            .flush_fully(clock::deadline_after(self.frame_timeout))
     }
 }
 

@@ -67,9 +67,23 @@ fn fleet_at_1_2_4_workers_matches_in_process_bytewise() {
             workers,
             "one obs row per worker"
         );
-        // Socket traffic really happened and was accounted.
-        assert!(run.summary.coordinator.bytes_out > 0);
-        assert!(run.summary.coordinator.frames_in >= ITERATIONS);
+        // Socket traffic really happened and was accounted: one Boundary
+        // and one Feedback per (iteration, level-1 nest), plus a Hello,
+        // an Assign and a Done per worker. Pinning the counts means a
+        // faster fleet waits less, not sends less.
+        let level1 = nests.iter().filter(|n| n.parent_nest.is_none()).count() as u64;
+        let coordinator = &run.summary.coordinator;
+        assert!(coordinator.bytes_out > 0);
+        assert_eq!(
+            coordinator.frames_in,
+            ITERATIONS * level1 + 2 * workers as u64,
+            "{workers}-worker frames in"
+        );
+        assert_eq!(
+            coordinator.frames_out,
+            ITERATIONS * level1 + workers as u64,
+            "{workers}-worker frames out"
+        );
     }
 }
 
