@@ -345,9 +345,18 @@ impl LintReport {
 }
 
 /// Directories never scanned (third-party code, build output, test code —
-/// tests may unwrap and time freely).
-const SKIP_DIRS: [&str; 8] = [
-    "target", "vendor", "tests", "benches", "examples", "fixtures", ".git", ".github",
+/// tests may unwrap and time freely — and the benchmark harness, a cargo
+/// workspace of its own).
+const SKIP_DIRS: [&str; 9] = [
+    "target",
+    "vendor",
+    "tests",
+    "benches",
+    "perfbench",
+    "examples",
+    "fixtures",
+    ".git",
+    ".github",
 ];
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {

@@ -39,6 +39,6 @@ pub use compare::{
 pub use env::{env_f64, env_u32, env_usize};
 pub use parallel::{parallel_jobs, run_parallel, run_parallel_with};
 pub use planner::{ExecutionPlan, PlanError, Planner};
-pub use profile::{fit_predictor, measure_domain_time, profile_basis};
+pub use profile::{fit_predictor, measure_domain_time, profile_basis, PROFILE_SEED};
 pub use strategy::{AllocPolicy, MappingKind, Strategy};
 pub use tempdir::TempDir;

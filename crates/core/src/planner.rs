@@ -1,5 +1,6 @@
 //! The planner: predict → allocate → map → (simulate).
 
+use crate::profile::{fit_predictor, PROFILE_SEED};
 use crate::strategy::{AllocPolicy, MappingKind, Strategy};
 use nestwx_alloc::{naive, partition_grid, AllocError, Partition};
 use nestwx_grid::{Domain, DomainError, DomainFeatures, NestSpec, NestedConfig, ProcGrid, Rect};
@@ -117,8 +118,9 @@ impl Planner {
         self
     }
 
-    /// Supplies a fitted predictor (otherwise one is fitted on demand from
-    /// simulator profiling runs with a fixed seed).
+    /// Supplies a fitted predictor. Otherwise one is fitted on demand from
+    /// simulator profiling runs with [`PROFILE_SEED`]; that fit runs at most
+    /// once per process for each machine (see [`fit_predictor`]).
     pub fn with_predictor(mut self, p: ExecTimePredictor) -> Self {
         self.predictor = Some(p);
         self
@@ -150,7 +152,7 @@ impl Planner {
                     let predictor = match &self.predictor {
                         Some(p) => p,
                         None => {
-                            fitted = crate::profile::fit_predictor(&self.machine, 0xBEEF);
+                            fitted = fit_predictor(&self.machine, PROFILE_SEED);
                             &fitted
                         }
                     };

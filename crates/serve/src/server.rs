@@ -38,7 +38,9 @@ use crate::protocol::{
 use crate::queue::BoundedQueue;
 use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 use nestwx_core::strategy::AllocPolicy;
-use nestwx_core::{compare_strategies, fit_predictor, ExecutionPlan, Planner, Scenario};
+use nestwx_core::{
+    compare_strategies, fit_predictor, ExecutionPlan, Planner, Scenario, PROFILE_SEED,
+};
 use nestwx_obs::clock;
 use nestwx_obs::HistSummary;
 use nestwx_predict::ExecTimePredictor;
@@ -49,11 +51,6 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
-
-/// Seed of the on-demand predictor fit — must stay identical to the one
-/// `Planner::plan` uses when no predictor is supplied, so a served plan is
-/// byte-identical to one computed directly.
-const PROFILE_SEED: u64 = 0xBEEF;
 
 /// Server tuning knobs. `ServeConfig::new` reads the `NESTWX_SERVE_*`
 /// environment variables for defaults. All limit knobs (deadline, rate,

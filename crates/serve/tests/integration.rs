@@ -4,7 +4,7 @@
 
 #![cfg(not(loom))]
 
-use nestwx_core::{fit_predictor, AllocPolicy, MappingKind, Planner, Strategy};
+use nestwx_core::{fit_predictor, AllocPolicy, MappingKind, Planner, Strategy, PROFILE_SEED};
 use nestwx_grid::{Domain, NestSpec};
 use nestwx_serve::{
     parse_machine, spawn, Client, PredictParams, Request, RequestBody, ScenarioParams, ServeConfig,
@@ -86,7 +86,7 @@ fn execute_fleet_matches_direct_run_across_worker_counts() {
         .strategy(Strategy::Concurrent)
         .alloc_policy(AllocPolicy::HuffmanSplitTree)
         .mapping(MappingKind::Partition)
-        .with_predictor(fit_predictor(&machine, 0xBEEF))
+        .with_predictor(fit_predictor(&machine, PROFILE_SEED))
         .plan(&exec_parent, &exec_nests)
         .expect("direct plan");
     let partitions: Vec<(usize, u64)> = plan
@@ -182,7 +182,7 @@ fn cached_plan_identical_to_fresh_across_all_combinations() {
     // Pre-fit with the server's documented seed so the direct planner and
     // the service resolve the exact same predictor (and the test does not
     // re-fit per combination).
-    let predictor = fit_predictor(&machine, 0xBEEF);
+    let predictor = fit_predictor(&machine, PROFILE_SEED);
 
     let strategies = [Strategy::Sequential, Strategy::Concurrent];
     let allocs = [
@@ -263,7 +263,7 @@ fn batched_predicts_match_direct_predictor() {
         .iter()
         .map(nestwx_grid::DomainFeatures::from)
         .collect();
-    let expected = fit_predictor(&machine, 0xBEEF)
+    let expected = fit_predictor(&machine, PROFILE_SEED)
         .relative_times(&features)
         .expect("direct relative times");
 
@@ -332,16 +332,22 @@ fn overload_produces_typed_errors_then_recovers() {
     // serialized per connection, so backpressure only shows under
     // cross-connection concurrency). The first job pins the single worker
     // behind a predictor fit, the second fills the one-slot queue, the
-    // rest must bounce with a typed `overloaded` error.
+    // rest must bounce with a typed `overloaded` error. Fits are memoised
+    // per process, so the burst targets a machine no other test in this
+    // binary plans on: its first fit is still cold.
     let strategies = [Strategy::Sequential, Strategy::Concurrent];
     let raws: Vec<Request> = (0..8)
         .map(|i| {
-            plan_request(
+            let mut req = plan_request(
                 &format!("b{i}"),
                 strategies[i / MappingKind::ALL.len()],
                 AllocPolicy::HuffmanSplitTree,
                 MappingKind::ALL[i % MappingKind::ALL.len()],
-            )
+            );
+            if let RequestBody::Plan(p) = &mut req.body {
+                p.machine = "bgl:256".into();
+            }
+            req
         })
         .collect();
     let addr = handle.addr().to_string();
