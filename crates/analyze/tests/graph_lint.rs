@@ -92,6 +92,41 @@ fn panic_fixture_reports_the_unwrap_behind_the_helper() {
 }
 
 #[test]
+fn graph_allowlist_entries_are_checked_only_under_the_graph_pass() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/graph_fixtures/panic");
+    let cfg = LintConfig::graph_fixtures(root);
+    let allow = "NW-G003 crates/app/src/lib.rs:10 -- live entry\n\
+                 NW-G003 crates/app/src/lib.rs:99 -- stale entry\n";
+    // Per-file run: graph rules never fire, so neither entry is stale.
+    let per_file = run_lint_ex(&cfg, None, allow).expect("lint runs");
+    assert!(
+        per_file.allow_errors.is_empty(),
+        "{:?}",
+        per_file.allow_errors
+    );
+    // Graph run: the live entry suppresses its finding, the stale one is
+    // still reported.
+    let graph = run_lint_ex(&cfg, Some(&GraphConfig::fixtures()), allow).expect("lint runs");
+    assert!(
+        graph.findings.iter().all(|f| f.rule != "NW-G003"),
+        "{:?}",
+        graph.findings
+    );
+    assert_eq!(graph.suppressed.len(), 1, "{:?}", graph.suppressed);
+    assert_eq!(graph.allow_errors.len(), 1, "{:?}", graph.allow_errors);
+    assert!(
+        graph.allow_errors[0].contains("stale"),
+        "{:?}",
+        graph.allow_errors
+    );
+    assert!(
+        graph.allow_errors[0].contains(":99"),
+        "{:?}",
+        graph.allow_errors
+    );
+}
+
+#[test]
 fn fixture_trees_resolve_every_call() {
     for name in ["taint", "lockcycle", "panic"] {
         let r = run_fixture(name);

@@ -13,6 +13,10 @@
 //! eviction scans the full shard for the oldest stamp. With the default
 //! shard sizes (≤ a few hundred entries) the scan is cheaper than
 //! maintaining an intrusive list, and it only runs when a shard is full.
+//!
+//! [`BoundedMap`] is the unsharded LRU-evicting store behind the
+//! per-machine predictor cache: a churn of distinct machine specs evicts
+//! the stalest predictor instead of growing without bound.
 
 use crate::sync::{lock_unpoisoned, AtomicU64, Mutex, Ordering};
 use serde::Serialize;
@@ -175,6 +179,95 @@ pub struct CacheStats {
     pub hit_rate: f64,
 }
 
+// ---------------------------------------------------------------------------
+// Bounded LRU map
+// ---------------------------------------------------------------------------
+
+struct BoundedSlot<V> {
+    value: V,
+    last_used: u64,
+}
+
+struct BoundedInner<V> {
+    map: BTreeMap<String, BoundedSlot<V>>,
+    /// Monotonic touch counter backing the LRU stamps (not wall time, so
+    /// eviction order is deterministic and loom-checkable).
+    clock: u64,
+}
+
+/// A capacity-bounded map with least-recently-used eviction, keyed by
+/// string. Backs the per-machine predictor cache: inserting past the cap
+/// evicts the stalest entry (deterministic victim — lowest stamp, then map
+/// order), so memory stays O(cap) under a churn of distinct machine specs.
+pub struct BoundedMap<V> {
+    inner: Mutex<BoundedInner<V>>,
+    cap: usize,
+    evictions: AtomicU64,
+}
+
+impl<V: Clone> BoundedMap<V> {
+    /// An empty map holding at most `cap` entries (`cap` is clamped to
+    /// at least 1 — a zero-capacity cache would evict its own insert).
+    pub fn new(cap: usize) -> BoundedMap<V> {
+        BoundedMap {
+            inner: Mutex::new(BoundedInner {
+                map: BTreeMap::new(),
+                clock: 0,
+            }),
+            cap: cap.max(1),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// Returns the value under `key`, building and inserting it with
+    /// `build` on a miss. The builder runs under the map lock, so
+    /// concurrent callers for the same key share one construction.
+    pub fn get_or_insert_with(&self, key: &str, build: impl FnOnce() -> V) -> V {
+        let mut inner = lock_unpoisoned(&self.inner);
+        inner.clock += 1;
+        let stamp = inner.clock;
+        if let Some(slot) = inner.map.get_mut(key) {
+            slot.last_used = stamp;
+            return slot.value.clone();
+        }
+        if inner.map.len() >= self.cap {
+            if let Some(victim) = inner
+                .map
+                .iter()
+                .min_by_key(|(_, s)| s.last_used)
+                .map(|(k, _)| k.clone())
+            {
+                inner.map.remove(&victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let value = build();
+        inner.map.insert(
+            key.to_string(),
+            BoundedSlot {
+                value: value.clone(),
+                last_used: stamp,
+            },
+        );
+        value
+    }
+
+    /// Entries currently held.
+    pub fn len(&self) -> usize {
+        lock_unpoisoned(&self.inner).map.len()
+    }
+
+    /// True when the map holds nothing.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entries evicted by the capacity bound.
+    pub fn evictions(&self) -> u64 {
+        self.evictions.load(Ordering::Relaxed)
+    }
+}
+
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
@@ -238,5 +331,27 @@ mod tests {
         assert_eq!(&*c.get("k", 5).unwrap(), "v2");
         assert_eq!(c.stats().evictions, 0);
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn bounded_map_caps_and_evicts_lru() {
+        let m: BoundedMap<u32> = BoundedMap::new(2);
+        assert_eq!(m.get_or_insert_with("a", || 1), 1);
+        assert_eq!(m.get_or_insert_with("b", || 2), 2);
+        // Touch "a" so "b" is the LRU victim.
+        assert_eq!(m.get_or_insert_with("a", || 99), 1, "hit, no rebuild");
+        assert_eq!(m.get_or_insert_with("c", || 3), 3);
+        assert_eq!(m.len(), 2, "capacity bound holds");
+        assert_eq!(m.evictions(), 1);
+        assert_eq!(m.get_or_insert_with("b", || 20), 20, "evicted key rebuilds");
+        assert_eq!(m.evictions(), 2, "reinserting b evicts the next victim");
+    }
+
+    #[test]
+    fn bounded_map_zero_capacity_clamps_to_one() {
+        let m: BoundedMap<u32> = BoundedMap::new(0);
+        assert_eq!(m.get_or_insert_with("a", || 1), 1);
+        assert_eq!(m.get_or_insert_with("a", || 9), 1, "own insert survives");
+        assert_eq!(m.len(), 1);
     }
 }

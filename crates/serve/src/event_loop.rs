@@ -33,7 +33,6 @@
 //! bucket cannot cover is answered `rate_limited` without touching the
 //! cache or the queue.
 
-use crate::batch::{Completion, Outcome, Pending, Reply};
 use crate::conn::Conn;
 use crate::flight::{dur_us, RequestSpan, SpanPath};
 use crate::keys;
@@ -43,8 +42,9 @@ use crate::protocol::{
     Request, RequestBody, MAX_LINE_BYTES,
 };
 use crate::queue::PushError;
+use crate::reply::{Completion, Outcome, Reply};
 use crate::server::{
-    deadline_exceeded, internal, render_stats, render_trace, shutting_down, Job, ServerState,
+    deadline_exceeded, render_stats, render_trace, shutting_down, Job, ServerState, Work,
 };
 use crate::sync::Ordering;
 use nestwx_grid::DomainFeatures;
@@ -495,6 +495,22 @@ impl ReaderLoop {
         }
     }
 
+    /// Answers a parsed request inline, in request order, and queues its
+    /// flight span.
+    fn answer_inline(
+        &self,
+        conn: &mut Conn<TcpStream>,
+        req: &Request,
+        outcome: Outcome,
+        now: Instant,
+        now_us: u64,
+        parse_us: u32,
+    ) {
+        let endpoint = req.endpoint();
+        self.respond_inline(conn, req.id.as_deref(), endpoint, now, &outcome);
+        self.push_inline_span(conn, endpoint, outcome.is_ok(), parse_us, now, now_us);
+    }
+
     /// Queues an inline-path flight span on the connection so its write
     /// edge can be stamped once the outbox drains; spans evicted by the
     /// per-connection cap are recorded immediately (unwritten). No-op
@@ -628,40 +644,49 @@ impl ReaderLoop {
         match &req.body {
             RequestBody::Stats => {
                 let outcome = render_stats(&self.state);
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &outcome);
-                self.push_inline_span(conn, endpoint, outcome.is_ok(), parse_us, now, now_us);
+                self.answer_inline(conn, &req, outcome, now, now_us, parse_us);
             }
             RequestBody::Trace => {
-                let outcome = render_trace(&self.state);
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &outcome);
                 // This span lands after the drain it answered, so it shows
                 // up in the *next* trace — by design, not a leak.
-                self.push_inline_span(conn, endpoint, outcome.is_ok(), parse_us, now, now_us);
+                let outcome = render_trace(&self.state);
+                self.answer_inline(conn, &req, outcome, now, now_us, parse_us);
             }
             RequestBody::Shutdown => {
                 self.state.trigger_shutdown();
                 let outcome = Ok("{\"draining\":true}".to_string());
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &outcome);
-                self.push_inline_span(conn, endpoint, true, parse_us, now, now_us);
+                self.answer_inline(conn, &req, outcome, now, now_us, parse_us);
             }
             RequestBody::Plan(p) => {
-                self.submit_scenario(conn, &req, p.clone(), None, line, now, now_us, parse_us)
+                self.submit_scenario(conn, &req, p, None, line, now, now_us, parse_us)
             }
             RequestBody::Compare { params, iterations } => {
                 let n = Some(*iterations);
-                self.submit_scenario(conn, &req, params.clone(), n, line, now, now_us, parse_us)
+                self.submit_scenario(conn, &req, params, n, line, now, now_us, parse_us)
             }
+            // Every `execute` is real work whose obs envelope must describe
+            // *this* run, so it has no cache fast path.
             RequestBody::Execute {
                 params,
                 iterations,
                 workers,
             } => {
-                let (n, w) = (*iterations, *workers);
-                self.submit_execute(conn, &req, params.clone(), n, w, now, now_us, parse_us)
+                let work = params.to_scenario().map(|scenario| Work::Execute {
+                    scenario,
+                    iterations: *iterations,
+                    workers: *workers,
+                });
+                self.submit(conn, &req, work, now, now_us, parse_us)
             }
             RequestBody::Predict(p) => {
-                let p = p.clone();
-                self.submit_predict(conn, &req, p, now, now_us, parse_us)
+                let work = parse_machine(&p.machine)
+                    .map_err(ProtoError::bad_request)
+                    .map(|machine| Work::Predict {
+                        machine,
+                        machine_spec: p.machine.clone(),
+                        features: p.nests.iter().map(DomainFeatures::from).collect(),
+                    });
+                self.submit(conn, &req, work, now, now_us, parse_us)
             }
         }
     }
@@ -678,7 +703,7 @@ impl ReaderLoop {
         &mut self,
         conn: &mut Conn<TcpStream>,
         req: &Request,
-        params: crate::protocol::ScenarioParams,
+        params: &crate::protocol::ScenarioParams,
         iterations: Option<u32>,
         raw_line: String,
         now: Instant,
@@ -688,11 +713,7 @@ impl ReaderLoop {
         let endpoint = req.endpoint();
         let scenario = match params.to_scenario() {
             Ok(s) => s,
-            Err(e) => {
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &Err(e));
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                return;
-            }
+            Err(e) => return self.answer_inline(conn, req, Err(e), now, now_us, parse_us),
         };
         let key = match iterations {
             None => keys::plan_key(&scenario),
@@ -736,241 +757,63 @@ impl ReaderLoop {
                 return;
             }
         }
-        if self.state.is_shutdown() {
-            self.respond_inline(
-                conn,
-                req.id.as_deref(),
-                endpoint,
-                now,
-                &Err(shutting_down()),
-            );
-            self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            return;
-        }
-        let deadline = self.deadline_for(req, now);
-        let cancel = CancelToken::new();
-        let seq = conn.reserve_slot();
-        let reply = Reply::Conn {
-            tx: self.completions_tx.clone(),
-            conn: conn.id,
-            seq,
-            id: req.id.clone(),
+        let work = Work::Scenario {
+            scenario,
+            iterations,
+            key,
+            digest,
+            explain: req.explain,
         };
-        let job = match iterations {
-            None => Job::Plan {
-                scenario,
-                key,
-                digest,
-                explain: req.explain,
-                cancel: cancel.clone(),
-                deadline,
-                started: now,
-                reply,
-            },
-            Some(n) => Job::Compare {
-                scenario,
-                iterations: n,
-                key,
-                digest,
-                explain: req.explain,
-                cancel: cancel.clone(),
-                deadline,
-                started: now,
-                reply,
-            },
-        };
-        match self.state.queue.push(job) {
-            Ok(()) => self.track(
-                conn.id, seq, cancel, req, endpoint, deadline, now, now_us, parse_us,
-            ),
-            Err(PushError::Full) => {
-                self.respond_slot(
-                    conn,
-                    seq,
-                    req.id.as_deref(),
-                    endpoint,
-                    now,
-                    &Err(overloaded()),
-                );
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            }
-            Err(PushError::Closed) => {
-                self.respond_slot(
-                    conn,
-                    seq,
-                    req.id.as_deref(),
-                    endpoint,
-                    now,
-                    &Err(shutting_down()),
-                );
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            }
-        }
+        self.submit(conn, req, Ok(work), now, now_us, parse_us);
     }
 
-    /// Submits a fleet execution. Unlike `submit_scenario` there is no
-    /// cache fast path: every `execute` is real work whose obs envelope
-    /// must describe *this* run, so caching would be a lie.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_execute(
+    /// The one enqueue path every worker endpoint shares: answer a
+    /// rejected request or a draining server inline, otherwise reserve the
+    /// connection's in-order slot and queue the job — answering the slot
+    /// with a typed `overloaded`/`shutting_down` when the queue refuses.
+    fn submit(
         &mut self,
         conn: &mut Conn<TcpStream>,
         req: &Request,
-        params: crate::protocol::ScenarioParams,
-        iterations: u32,
-        workers: u32,
+        work: Result<Work, ProtoError>,
         now: Instant,
         now_us: u64,
         parse_us: u32,
     ) {
-        let endpoint = Endpoint::Execute;
-        let scenario = match params.to_scenario() {
-            Ok(s) => s,
-            Err(e) => {
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &Err(e));
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                return;
+        let work = match work {
+            Ok(w) if !self.state.is_shutdown() => w,
+            Ok(_) => {
+                return self.answer_inline(conn, req, Err(shutting_down()), now, now_us, parse_us)
             }
+            Err(e) => return self.answer_inline(conn, req, Err(e), now, now_us, parse_us),
         };
-        if self.state.is_shutdown() {
-            self.respond_inline(
-                conn,
-                req.id.as_deref(),
-                endpoint,
-                now,
-                &Err(shutting_down()),
-            );
-            self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            return;
-        }
+        let endpoint = req.endpoint();
         let deadline = self.deadline_for(req, now);
         let cancel = CancelToken::new();
         let seq = conn.reserve_slot();
-        let reply = Reply::Conn {
-            tx: self.completions_tx.clone(),
-            conn: conn.id,
-            seq,
-            id: req.id.clone(),
-        };
-        let job = Job::Execute {
-            scenario,
-            iterations,
-            workers,
+        let job = Job {
+            work,
             cancel: cancel.clone(),
             deadline,
             started: now,
-            reply,
+            reply: Reply {
+                tx: self.completions_tx.clone(),
+                conn: conn.id,
+                seq,
+                id: req.id.clone(),
+            },
         };
         match self.state.queue.push(job) {
             Ok(()) => self.track(
                 conn.id, seq, cancel, req, endpoint, deadline, now, now_us, parse_us,
             ),
-            Err(PushError::Full) => {
-                self.respond_slot(
-                    conn,
-                    seq,
-                    req.id.as_deref(),
-                    endpoint,
-                    now,
-                    &Err(overloaded()),
-                );
+            Err(refused) => {
+                let e = match refused {
+                    PushError::Full => overloaded(),
+                    PushError::Closed => shutting_down(),
+                };
+                self.respond_slot(conn, seq, req.id.as_deref(), endpoint, now, &Err(e));
                 self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            }
-            Err(PushError::Closed) => {
-                self.respond_slot(
-                    conn,
-                    seq,
-                    req.id.as_deref(),
-                    endpoint,
-                    now,
-                    &Err(shutting_down()),
-                );
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            }
-        }
-    }
-
-    fn submit_predict(
-        &mut self,
-        conn: &mut Conn<TcpStream>,
-        req: &Request,
-        params: crate::protocol::PredictParams,
-        now: Instant,
-        now_us: u64,
-        parse_us: u32,
-    ) {
-        let endpoint = Endpoint::Predict;
-        let machine = match parse_machine(&params.machine) {
-            Ok(m) => m,
-            Err(msg) => {
-                let e = ProtoError::bad_request(msg);
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &Err(e));
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                return;
-            }
-        };
-        let machine_key = match serde_json::to_string(&machine) {
-            Ok(k) => k,
-            Err(e) => {
-                let e = internal(format!("machine key: {e:?}"));
-                self.respond_inline(conn, req.id.as_deref(), endpoint, now, &Err(e));
-                self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                return;
-            }
-        };
-        if self.state.is_shutdown() {
-            self.respond_inline(
-                conn,
-                req.id.as_deref(),
-                endpoint,
-                now,
-                &Err(shutting_down()),
-            );
-            self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-            return;
-        }
-        let features: Vec<DomainFeatures> = params.nests.iter().map(DomainFeatures::from).collect();
-        let deadline = self.deadline_for(req, now);
-        let cancel = CancelToken::new();
-        let seq = conn.reserve_slot();
-        let token = self.state.batcher.token();
-        self.state.batcher.add(
-            &machine_key,
-            Pending {
-                token,
-                cancel: cancel.clone(),
-                machine_spec: params.machine.clone(),
-                features,
-                started: now,
-                reply: Reply::Conn {
-                    tx: self.completions_tx.clone(),
-                    conn: conn.id,
-                    seq,
-                    id: req.id.clone(),
-                },
-            },
-        );
-        match self.state.queue.push(Job::PredictTick {
-            machine_key: machine_key.clone(),
-        }) {
-            Ok(()) => self.track(
-                conn.id, seq, cancel, req, endpoint, deadline, now, now_us, parse_us,
-            ),
-            Err(push_err) => {
-                if self.state.batcher.cancel(&machine_key, token) {
-                    let e = match push_err {
-                        PushError::Full => overloaded(),
-                        PushError::Closed => shutting_down(),
-                    };
-                    self.respond_slot(conn, seq, req.id.as_deref(), endpoint, now, &Err(e));
-                    self.push_inline_span(conn, endpoint, false, parse_us, now, now_us);
-                } else {
-                    // A concurrent tick already took our pending request —
-                    // its completion is on the way.
-                    self.track(
-                        conn.id, seq, cancel, req, endpoint, deadline, now, now_us, parse_us,
-                    );
-                }
             }
         }
     }

@@ -53,7 +53,7 @@ pub enum SpanPath {
     /// Answered inline by the reader (control endpoints, cache hits on the
     /// slow path, rate sheds, scenario rejections, overload responses).
     Inline,
-    /// Full round-trip through the worker pool (or the predict batcher).
+    /// Full round-trip through the worker pool.
     Worker,
     /// Expired by the reader's deadline sweep before a worker answered.
     Deadline,

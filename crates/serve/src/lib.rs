@@ -17,9 +17,9 @@
 //! - **per-request deadlines** with exactly-once cancellation and
 //!   **per-client token-bucket rate limits** with weighted endpoint costs
 //!   ([`limits`]);
-//! - **micro-batching** of concurrent `predict` requests that share a
-//!   machine, so a burst amortizes one predictor resolution ([`batch`]),
-//!   with the resolved predictors held in a bounded LRU map;
+//! - one job path for every worker endpoint (`predict`, `plan`,
+//!   `compare`, `execute`): a queued job answered through a [`Reply`]
+//!   ([`reply`]), with fitted predictors held in a bounded LRU map;
 //! - per-endpoint latency histograms (`nestwx-obs` [`nestwx_obs::LogHistogram`])
 //!   behind a `stats` endpoint, and graceful drain-then-exit shutdown with
 //!   a [`DrainReport`] that proves nothing leaked ([`metrics`], [`server`]).
@@ -39,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod conn;
@@ -51,11 +50,11 @@ pub mod limits;
 pub mod metrics;
 pub mod protocol;
 pub mod queue;
+pub mod reply;
 pub mod server;
 pub mod sync;
 
-pub use batch::{BoundedMap, Completion, Outcome, Pending, PredictBatcher, Reply};
-pub use cache::{CacheStats, PlanCache};
+pub use cache::{BoundedMap, CacheStats, PlanCache};
 pub use client::{Client, Response};
 pub use conn::{Conn, Gone};
 pub use disk::{DiskCache, DiskStats};
@@ -69,4 +68,5 @@ pub use protocol::{
     PROTOCOL_VERSION,
 };
 pub use queue::{BoundedQueue, PushError};
+pub use reply::{Completion, Outcome, Reply};
 pub use server::{render_plan, spawn, DrainReport, ServeConfig, ServerHandle};
